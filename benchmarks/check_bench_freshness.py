@@ -1,9 +1,9 @@
 """CI guard: kernel changes must come with a re-measured BENCH_perf.json.
 
 The fast-path kernels exist for one number — the measured speedup in
-``BENCH_perf.json`` — so a commit that touches the tick engines while
-leaving the benchmark record untouched is either unmeasured or quoting
-stale numbers.  This script fails (exit 1) when the last commit
+``BENCH_perf.json`` — so a commit that touches the tick engines, or
+the thermal physics they all run, while leaving the benchmark record
+untouched is either unmeasured or quoting stale numbers.  This script fails (exit 1) when the last commit
 touching the watched performance-critical paths is *newer* than the
 last commit touching ``BENCH_perf.json``; "newer" is ancestry, not
 timestamps, so rebases and merges behave.
@@ -30,6 +30,8 @@ import sys
 #: Paths whose changes invalidate the benchmark record.
 WATCHED = (
     "src/repro/kernel",
+    "src/repro/thermal",
+    "src/repro/cluster/cluster.py",
     "src/repro/perf",
     "src/repro/cluster/simulation.py",
     "src/repro/cluster/metrics.py",

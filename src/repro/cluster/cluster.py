@@ -99,11 +99,6 @@ class Cluster:
         self._last_q_wax = np.zeros(self._n)
         self._last_melt_fraction = self._pcm.melt_fraction
         self._time_s = 0.0
-        # The stepped kernel driver clears this to skip re-validating
-        # allocations that Scheduler.place already checked; it only
-        # changes which error is raised on a bad allocation, never the
-        # physics of a successful step.
-        self._validate = True
 
     # -- static facts -----------------------------------------------------
 
@@ -339,10 +334,7 @@ class Cluster:
         """
         if dt_s <= 0:
             raise SimulationError("dt must be positive")
-        if self._validate:
-            allocation = self._check_allocation(allocation)
-        else:
-            allocation = np.asarray(allocation)
+        allocation = self._check_allocation(allocation)
         faults = self._faults
         if faults is not None:
             dead_load = ~faults.active & (allocation.sum(axis=1) > 0)

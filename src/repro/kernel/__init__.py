@@ -17,19 +17,22 @@ globally via the ``REPRO_BACKEND`` environment variable.  The fast
 backend dispatches to the most aggressive kernel whose preconditions the
 run satisfies:
 
-* :mod:`.planned` -- whole-run batched kernel for clean VMT-TA runs
-  (the open-loop policy: placement depends only on static group sizing,
-  so the entire run is plannable up front);
-* :mod:`.stepped` -- the reference tick loop driven directly, without
-  the event heap, per-tick re-validation, or dict plumbing (all
+* :mod:`.planned` -- whole-run kernel for clean VMT-TA runs (the
+  open-loop policy: placement depends only on static group sizing, so
+  every tick's allocation is planned up front and each thermal model
+  then advances the whole ``(T, n)`` block in one call);
+* :mod:`.stepped` -- the reference tick loop driven by
+  :meth:`~repro.sim.engine.Engine.drive`, without the event heap (all
   policies, checkpoints, sanitizer, observers);
 * the reference engine loop for everything else (fault injection and
   telemetry schedule their own engine events, so they keep the engine).
 
-Every kernel is bit-identical to the reference path: same RNG stream
-consumption, same IEEE-754 operation order per element, same recorded
-series -- ``SimulationResult.fingerprint()`` is the enforced contract
-(see ``tests/test_kernel_equivalence.py``).
+Every path runs the same physics -- the thermal models' own methods --
+so the paths differ only in how ticks are driven.  Each is
+bit-identical to the reference path: same RNG stream consumption, same
+IEEE-754 operation order per element, same recorded series --
+``SimulationResult.fingerprint()`` is the enforced contract (see
+``tests/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -60,12 +63,6 @@ def resolve_backend(backend: Optional[str]) -> str:
             f"backend must be one of {', '.join(BACKENDS)}; "
             f"got {backend!r}")
     return backend
-
-
-def is_numba_available() -> bool:
-    """Whether the optional numba-compiled physics loop is importable."""
-    from . import njit
-    return njit.HAS_NUMBA
 
 
 def run_fast(sim) -> Optional["SimulationResult"]:

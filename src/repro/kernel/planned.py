@@ -23,11 +23,12 @@ construction:
   allocation integer-for-integer.  Ticks that spill across groups are
   replayed through the scheduler's own 4-pass spill placement (same RNG
   draws, same tie offsets), so only overflowing ticks pay python cost.
-* **Physics**: every expression is applied with the same IEEE-754
-  operation order per element as the reference models; only the loop
-  structure changes (elementwise ops are batched across ticks, the
-  air/PCM state recurrence stays a per-tick loop, optionally compiled by
-  :mod:`.njit`).
+* **Physics**: the kernel makes one call per thermal model on the whole
+  run (``ServerAirModel.advance``, ``PCMBank.advance``,
+  ``WaxStateEstimator.advance``) -- the same methods the reference
+  tick's ``step``/``update`` call with one tick.  The models batch their
+  elementwise work across ticks and step only their state recurrences,
+  with the same IEEE-754 operation order per element either way.
 * **Metrics**: per-row reductions (``row.mean()``) and axis reductions
   over C-contiguous rows (``block.mean(axis=1)``) use the same pairwise
   summation, so recorded series match bitwise;
@@ -35,15 +36,11 @@ construction:
   ``record`` would have filled.
 
 What stays python: the planning loop (one shuffle + bincount per
-populated group per tick) and the state recurrences.  Everything else --
-power model, air targets, junction temps, sensor/estimator noise,
-enthalpy-delta heat flow, melt-fraction truth, every recorded series --
-is a handful of whole-run numpy kernels over preallocated blocks.
+populated group per tick) and the models' state recurrences.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Optional
 
@@ -52,15 +49,6 @@ import numpy as np
 from ..workloads.workload import COLD_INDICES, HOT_INDICES, WORKLOAD_LIST
 
 _K = len(WORKLOAD_LIST)
-
-try:
-    # The ufunc np.clip dispatches to: same kernel, same bits, without
-    # the per-call dispatch overhead (it runs once per tick in the
-    # estimator recurrence).
-    from numpy._core.umath import clip as _clip_ufunc
-except ImportError:  # pragma: no cover - numpy internals moved
-    def _clip_ufunc(a, lo, hi, out):
-        return np.clip(a, lo, hi, out=out)
 
 
 def try_run(sim) -> Optional["SimulationResult"]:
@@ -92,9 +80,8 @@ def try_run(sim) -> Optional["SimulationResult"]:
     wax = config.wax
     if (wax.mass_kg <= 0 or wax.latent_heat_j_per_kg <= 0
             or config.thermal.ha_w_per_k == 0):
-        # Degenerate PCM: the reference models switch to special-cased
-        # branches (zero heat flow, step-function melt fraction) that
-        # are not worth mirroring here.
+        # Degenerate PCM (no wax, no latent band, or no air coupling)
+        # is left to the stepped driver.
         return None
     num_servers = config.num_servers
     hot_size = sched.sizer.hot_size
@@ -122,7 +109,7 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     setup_start = clock()
     # The planned kernel bypasses ClusterSimulation._tick (where the
     # cooperative deadline is normally polled), so it checks the budget
-    # itself: every 256 plan-loop ticks and once after the fused physics.
+    # itself: every 256 plan-loop ticks and once after the physics.
     deadline = sim._deadline
     if deadline is not None:
         deadline.check()
@@ -130,11 +117,6 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     config = sim._config
     cluster = sim._cluster
     sched = sim._scheduler
-    air = cluster._air
-    pcm = cluster._pcm
-    estimator = cluster._estimator
-    engine = sim._engine
-
     n = config.num_servers
     counts = sim._trace._counts
     T = counts.shape[0]
@@ -142,52 +124,28 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     cores = config.server.cores
     hs = sched.sizer.hot_size
 
-    thermal = config.thermal
-    inlet = air._inlet  # fixed: no ambient profile, no cooling derates
-    r_air = thermal.r_air_c_per_w
-    alpha = 1.0 - math.exp(-dt / thermal.tau_air_s)
-    ha = thermal.ha_w_per_k
-
-    mass = pcm._mass
-    cp_s = pcm._cp_s
-    cp_l = pcm._cp_l
-    t_melt = pcm._t_melt
-    h_sol = pcm._h_sol
-    h_liq = pcm._h_liq
-    tau = mass * min(cp_s, cp_l) / ha
-    n_sub = max(1, int(math.ceil(dt / (0.25 * tau))))
-    sub_dt = dt / n_sub
-
     # A fresh reference run resets the scheduler before the first tick.
     sched.reset()
 
     # ---- plan: replay the dealer for every tick --------------------------
     plan_start = clock()
-    rng = sched._rng
-    pcp = cluster._per_core_power
-    hot_cols = list(HOT_INDICES)
-    cold_cols = list(COLD_INDICES)
-    hot_rows = np.zeros((T, _K), dtype=np.int64)
-    hot_rows[:, hot_cols] = counts[:, hot_cols]
-    cold_rows = np.zeros((T, _K), dtype=np.int64)
-    cold_rows[:, cold_cols] = counts[:, cold_cols]
     ar5 = np.arange(_K)
-    # Per-group constants: the bincount key of each server (its offset
-    # into the flat (n, K) allocation row) and the full-rounds
-    # dealing-order keys (all servers ascending, one pass per level).
+    # Per-group constants: the tick rows of the group's job types, the
+    # bincount key of each server (its offset into the flat (n, K)
+    # allocation row) and the full-rounds dealing-order keys (all
+    # servers ascending, one pass per level).
     groups = []
-    for base, m, totals, rows in ((0, hs, hot_tot, hot_rows),
-                                  (hs, n - hs, cold_tot, cold_rows)):
+    for base, m, totals, cols in ((0, hs, hot_tot, list(HOT_INDICES)),
+                                  (hs, n - hs, cold_tot,
+                                   list(COLD_INDICES))):
+        rows = np.zeros((T, _K), dtype=np.int64)
+        rows[:, cols] = counts[:, cols]
         key_of_server = (base + np.arange(m, dtype=np.int64)) * _K
-        base_tile = np.tile(key_of_server, cores)
         level, rem = np.divmod(totals, m)
         groups.append((totals.tolist(), (level * m).tolist(),
-                       rem.tolist(), m, list(rows), base_tile,
-                       key_of_server))
-    (hot_tots, hot_lms, hot_rems, hot_m, hot_rows_l, hot_base,
-     hot_keys) = groups[0]
-    (cold_tots, cold_lms, cold_rems, cold_m, cold_rows_l, cold_base,
-     cold_keys) = groups[1]
+                       rem.tolist(), m, list(rows),
+                       np.tile(key_of_server, cores), key_of_server))
+    hot_rows, cold_rows = groups[0][4], groups[1][4]
     # All ticks' allocations in one float block so the dynamic-power
     # matmul runs once, batched (bitwise identical to per-tick matmuls).
     alloc_block = np.zeros((T, n * _K))
@@ -196,7 +154,7 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     add = np.add
     bincount = np.bincount
     copyto = np.copyto
-    shuffle = rng.shuffle
+    shuffle = sched._rng.shuffle
     repeat = np.repeat
     width = n * _K
     # Spill-tick scratch: the reference scheduler's own 4-pass spill
@@ -209,8 +167,6 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     alloc2d = np.zeros((n, _K), dtype=np.int64)
     alloc2d_flat = alloc2d.reshape(-1)
     place_group = sched._place_group
-    hot_rows_arr = hot_rows
-    cold_rows_arr = cold_rows
     # Per-tick scratch stays a few KB, i.e. cache-resident: building
     # each tick's type list fresh beats materializing tick blocks up
     # front, which would stream tens of MB through memory instead.
@@ -227,121 +183,58 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
             sched._tick = t
             free_buf.fill(cores)
             alloc2d.fill(0)
-            hot_d = hot_rows_arr[t].copy()
-            cold_d = cold_rows_arr[t].copy()
+            hot_d = hot_rows[t].copy()
+            cold_d = cold_rows[t].copy()
             place_group(hot_d, hot_ids, free_buf, alloc2d)
             place_group(cold_d, cold_ids, free_buf, alloc2d)
             place_group(hot_d, cold_ids, free_buf, alloc2d)
             place_group(cold_d, hot_ids, free_buf, alloc2d)
             alloc_rows[t][:] = alloc2d_flat
             continue
-        fill = tot = hot_tots[t]
-        if tot:
-            types = repeat(ar5, hot_rows_l[t])
-            shuffle(types)
-            seg = key_buf[:tot]
-            if hot_rems[t] == 0:
-                add(hot_base[:tot], types, out=seg)
-            else:
-                lm = hot_lms[t]
-                seg[:lm] = hot_base[:lm]
-                start = t % hot_m
-                end = start + hot_rems[t]
-                if end <= hot_m:
-                    seg[lm:] = hot_keys[start:end]
-                else:
-                    low = end - hot_m
-                    seg[lm:lm + low] = hot_keys[:low]
-                    seg[lm + low:] = hot_keys[start:]
-                add(seg, types, out=seg)
-        tot = cold_tots[t]
-        if tot:
-            types = repeat(ar5, cold_rows_l[t])
+        fill = 0
+        for tots, lms, rems, m, rows, base_keys, keys in groups:
+            tot = tots[t]
+            if not tot:
+                continue
+            types = repeat(ar5, rows[t])
             shuffle(types)
             seg = key_buf[fill:fill + tot]
             fill += tot
-            if cold_rems[t] == 0:
-                add(cold_base[:tot], types, out=seg)
+            if rems[t] == 0:
+                add(base_keys[:tot], types, out=seg)
+                continue
+            lm = lms[t]
+            seg[:lm] = base_keys[:lm]
+            start = t % m
+            end = start + rems[t]
+            if end <= m:
+                seg[lm:] = keys[start:end]
             else:
-                lm = cold_lms[t]
-                seg[:lm] = cold_base[:lm]
-                start = t % cold_m
-                end = start + cold_rems[t]
-                if end <= cold_m:
-                    seg[lm:] = cold_keys[start:end]
-                else:
-                    low = end - cold_m
-                    seg[lm:lm + low] = cold_keys[:low]
-                    seg[lm + low:] = cold_keys[start:]
-                add(seg, types, out=seg)
+                low = end - m
+                seg[lm:lm + low] = keys[:low]
+                seg[lm + low:] = keys[start:]
+            add(seg, types, out=seg)
         if fill:
             copyto(alloc_rows[t], bincount(key_buf[:fill],
                                            minlength=width))
     dyn_block = np.matmul(alloc_block.reshape(T * n, _K),
-                          pcp).reshape(T, n)
+                          cluster._per_core_power).reshape(T, n)
     plan_elapsed = clock() - plan_start
 
-    # ---- fused physics ---------------------------------------------------
+    # ---- physics: each thermal model advances the whole run ---------------
     step_start = clock()
+    air = cluster._air
     power_block = cluster._power_model.server_power(dyn_block)
-    targets = power_block * r_air
-    targets += inlet
-
-    # Batched stream draws, identical values/state to per-tick draws.
-    sensor = cluster._sensor
-    if sensor._noise > 0:
-        # view() reads the air sensor every tick; VMT-TA never looks at
-        # the sensed values, so only the stream consumption matters.
-        sensor._rng.normal(0.0, sensor._noise, size=(T, n))
-    est_noise = None
-    if estimator._sensor_noise > 0:
-        est_noise = estimator._rng.normal(0.0, estimator._sensor_noise,
-                                          size=(T, n))
-
-    temp_block = np.empty((T, n))
-    h_store = np.empty((T + 1, n))
-    h_store[0] = pcm._h
-    h_block = h_store[1:]
-
-    from . import njit
-    if njit.fused_air_pcm is not None:
-        njit.fused_air_pcm(targets, air._temp.copy(), h_store[0].copy(),
-                           temp_block, h_block, alpha, ha, sub_dt,
-                           n_sub, mass, cp_s, cp_l, t_melt, h_sol,
-                           h_liq)
-    else:
-        _python_air_pcm(targets, air._temp, h_store, temp_block,
-                        h_block, alpha, ha, sub_dt, n_sub, mass, cp_s,
-                        cp_l, t_melt, h_sol, h_liq)
-
-    # Heat into wax: enthalpy delta per tick, same expression as
-    # PCMBank.step's return value.
-    q_block = (h_block - h_store[:-1]) * mass / dt
-
-    # Estimator: rate lookup is elementwise (batch it); the clipped
-    # integration + anchoring is a cheap per-tick recurrence.
-    truth_block = np.clip((h_block - h_sol) / pcm._latent, 0.0, 1.0)
-    anchored = (truth_block <= 0.0) | (truth_block >= 1.0)
-    anchored_any = anchored.any(axis=1).tolist()
-    sensed = temp_block if est_noise is None else temp_block + est_noise
-    delta = sensed - estimator._t_melt
-    bins = np.clip(np.digitize(delta, estimator._bin_edges) - 1,
-                   0, len(estimator._rate_table) - 1)
-    rates_dt = estimator._rate_table[bins]
-    rates_dt *= dt
-    est = estimator._estimate.copy()
-    add = np.add
-    clip = _clip_ufunc
-    copyto = np.copyto
-    anchored_rows = list(anchored)
-    truth_rows = list(truth_block)
-    for t, rates_row in enumerate(rates_dt):
-        add(est, rates_row, out=est)
-        clip(est, 0.0, 1.0, est)
-        if anchored_any[t]:
-            # Same values as where(mask, truth, est); clip of the
-            # already-clipped truth is bitwise idempotent.
-            copyto(est, truth_rows[t], where=anchored_rows[t])
+    temp_block = air.advance(power_block, dt)
+    q_block, truth_block = cluster._pcm.advance(
+        temp_block, config.thermal.ha_w_per_k, dt)
+    # view() reads the air sensor every tick; VMT-TA never looks at the
+    # sensed values, so only the stream consumption matters.
+    cluster._sensor.read(temp_block)
+    # Anchoring as in Cluster.step: the container-exterior sensor pins
+    # the full-solid and full-liquid states.
+    cluster._estimator.advance(temp_block, dt, truth_block,
+                               (truth_block <= 0.0) | (truth_block >= 1.0))
     step_elapsed = clock() - step_start
     if deadline is not None:
         deadline.check()
@@ -356,7 +249,7 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     it_power = power_block.sum(axis=1)
     wax_abs = q_block.sum(axis=1)
     junction = cluster._cpu_model.junction_temp_c(
-        inlet[None, :], dyn_block, config.server)
+        air.inlet_temp_c[None, :], dyn_block, config.server)
     sim._metrics.fill_block(
         times_s=times,
         cooling_load_w=it_power - wax_abs,
@@ -374,10 +267,7 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     )
     metrics_elapsed = clock() - metrics_start
 
-    # ---- sync live state to the post-run reference values ----------------
-    air._temp = temp_block[T - 1].copy()
-    pcm._h = h_block[T - 1].copy()
-    estimator._estimate = est
+    # ---- the cluster's last-tick readings, as a reference run leaves them
     cluster._dynamic_w = dyn_block[T - 1].copy()
     cluster._power_w = power_block[T - 1].copy()
     cluster._last_q_wax = q_block[T - 1].copy()
@@ -387,8 +277,8 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     sim._step_index = T
     sim._last_allocation = (alloc_block[T - 1]
                             .reshape(n, _K).astype(np.int64))
-    engine._now = max(engine._now, T * dt - 1e-9)
-    engine._dispatched += T
+    engine = sim._engine
+    engine.drive(None, engine.now, dt, T, T * dt - 1e-9)
 
     if prof is not None:
         prof.add("kernel_plan", plan_elapsed)
@@ -399,97 +289,3 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
         prof.count_ticks(T)
     profile = prof.snapshot() if prof is not None else None
     return sim._metrics.finish(config, sched.name, profile=profile)
-
-
-def _python_air_pcm(targets, temp0, h_store, temp_block, h_block, alpha,
-                    ha, sub_dt, n_sub, mass, cp_s, cp_l, t_melt, h_sol,
-                    h_liq) -> None:
-    """Vectorized-per-tick spelling of the air + PCM recurrence.
-
-    Same IEEE-754 operation order per element as ``ServerAirModel.step``
-    and ``PCMBank.step`` (the commuted operand orders below are bitwise
-    exact: IEEE add/multiply are commutative).
-    """
-    T, n = targets.shape
-    t_melt_row = np.full(n, t_melt)
-    scratch_a = np.empty(n)
-    scratch_b = np.empty(n)
-    scratch_c = np.empty(n)
-    q_buf = np.empty(n)
-    subtract = np.subtract
-    multiply = np.multiply
-    divide = np.divide
-    npadd = np.add
-    where = np.where
-    target_rows = list(targets)
-    temp_rows = list(temp_block)
-    h_rows = list(h_block)
-    temp = temp0
-    h = h_store[0]
-    if n_sub == 1:
-        below = np.empty(n, dtype=bool)
-        twax_buf = np.empty(n)
-        less = np.less
-        copyto = np.copyto
-        arr_max = np.ndarray.max
-        for t in range(T):
-            trow = temp_rows[t]
-            subtract(target_rows[t], temp, out=trow)
-            multiply(trow, alpha, out=trow)
-            npadd(temp, trow, out=trow)
-            temp = trow
-            hrow = h_rows[t]
-            if arr_max(h) > h_liq:
-                # Rare: something fully molten.  Spell out the full
-                # three-branch selection exactly as PCMBank does.
-                divide(h, cp_s, out=scratch_a)
-                subtract(h, h_liq, out=scratch_b)
-                divide(scratch_b, cp_l, out=scratch_b)
-                npadd(scratch_b, t_melt, out=scratch_b)
-                t_wax = where(h < h_sol, scratch_a,
-                              where(h > h_liq, scratch_b, t_melt))
-            else:
-                # Nothing above liquidus: the inner where collapses to
-                # t_melt, and masked copyto picks the same bits the
-                # two-branch where would.
-                less(h, h_sol, out=below)
-                divide(h, cp_s, out=scratch_a)
-                copyto(twax_buf, t_melt_row)
-                copyto(twax_buf, scratch_a, where=below)
-                t_wax = twax_buf
-            subtract(temp, t_wax, out=q_buf)
-            multiply(q_buf, ha, out=q_buf)
-            multiply(q_buf, sub_dt, out=q_buf)
-            divide(q_buf, mass, out=q_buf)
-            npadd(h, q_buf, out=hrow)
-            h = hrow
-        return
-    npmin = np.min
-    npmax = np.max
-    for t in range(T):
-        trow = temp_rows[t]
-        subtract(target_rows[t], temp, out=trow)
-        multiply(trow, alpha, out=trow)
-        npadd(temp, trow, out=trow)
-        temp = trow
-        hrow = h_rows[t]
-        hcur = h
-        for sub in range(n_sub):
-            dest = hrow if sub == n_sub - 1 else scratch_c
-            if npmin(hcur) < h_sol or npmax(hcur) > h_liq:
-                divide(hcur, cp_s, out=scratch_a)
-                subtract(hcur, h_liq, out=scratch_b)
-                divide(scratch_b, cp_l, out=scratch_b)
-                npadd(scratch_b, t_melt, out=scratch_b)
-                t_wax = where(hcur < h_sol, scratch_a,
-                              where(hcur > h_liq, scratch_b, t_melt))
-            else:
-                # Everything in the melting band reads t_melt exactly.
-                t_wax = t_melt_row
-            subtract(temp, t_wax, out=q_buf)
-            multiply(q_buf, ha, out=q_buf)
-            multiply(q_buf, sub_dt, out=q_buf)
-            divide(q_buf, mass, out=q_buf)
-            npadd(hcur, q_buf, out=dest)
-            hcur = dest
-        h = hrow

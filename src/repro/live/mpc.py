@@ -4,11 +4,10 @@ At each decision boundary the controller forks the running simulation's
 :class:`~repro.state.snapshot.SimulationSnapshot` and races K shadow
 simulations -- one per candidate grouping value -- over a trace built
 from the observed history plus the forecaster's horizon.  Each shadow
-restores the snapshot into a fresh fast-backend simulation (the PR 7
-stepped kernel makes this cheap), retargets its scheduler to the
-candidate, runs the horizon out, and reports its peak cooling load over
-the forecast window.  The candidate with the lowest predicted peak
-wins.
+restores the snapshot into a fresh fast-backend simulation, retargets
+its scheduler to the candidate, runs the horizon out, and reports its
+peak cooling load over the forecast window.  The candidate with the
+lowest predicted peak wins.
 
 Shadows restore with ``trace_check=False``: they deliberately run
 against a forecast trace whose fingerprint differs from the live

@@ -34,15 +34,15 @@ instead of (or alongside) the per-tick ones:
     The planned kernel's placement replay: per-tick dealing and the
     allocation -> dynamic-power matmul.
 ``kernel_fused_step``
-    The fused physics: batched power/air targets, the air + PCM
-    recurrence, and the estimator update.
+    The physics: the power model and one block call per thermal model
+    (air, PCM, estimator) over the whole run.
 ``kernel_metrics_write``
     Computing the recorded series as whole columns and block-writing
     them into the :class:`~repro.cluster.metrics.MetricsCollector`.
 ``dispatch``
     Driver overhead outside the kernels proper: eligibility checks,
-    buffer setup, and state sync (planned), or the tick-loop bookkeeping
-    the event heap used to do (stepped).
+    buffer setup, and the last-tick readings (planned), or the tick-loop
+    bookkeeping of ``Engine.drive`` (stepped).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from .events import Event, EventCallback, EventQueue
@@ -122,6 +122,32 @@ class Engine:
                 self._dispatched += 1
         finally:
             self._running = False
+
+    def drive(self, callback: Optional[Callable[[float], None]],
+              start_s: float, period_s: float, count: int,
+              end_s: float) -> None:
+        """Fire ``count`` periodic ticks without the event heap.
+
+        A run driven by one periodic process gains nothing from the
+        heap.  This is the heap-free spelling of a
+        :class:`~repro.sim.process.PeriodicProcess` started at
+        ``start_s`` followed by ``run_until(end_s)``: ``callback`` fires
+        at ``start_s + k * period_s`` (accumulated in float, as the
+        process does), the clock reads each tick's time during its
+        callback, the dispatch counter advances once per tick, and the
+        clock ends at ``max(now, end_s)``.  ``callback=None`` only
+        accounts for ``count`` ticks whose work was done elsewhere.
+        """
+        if callback is None:
+            self._dispatched += count
+        else:
+            now = start_s
+            for _ in range(count):
+                self._now = now
+                callback(now)
+                self._dispatched += 1
+                now += period_s
+        self._now = max(self._now, end_s)
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""

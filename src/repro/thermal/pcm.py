@@ -22,12 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from ..config import WaxConfig
 from ..errors import ThermalModelError
+
+try:
+    # The ufunc np.clip dispatches to: same kernel, same bits, without
+    # the wrapper's per-call overhead (the models clip once per tick).
+    from numpy._core.umath import clip
+except ImportError:  # pragma: no cover - numpy internals moved
+    def clip(a, lo, hi, out=None):
+        return np.clip(a, lo, hi, out=out)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -112,7 +120,7 @@ class PCMBank:
             # Degenerate material: no latent band; treat anything past the
             # melt point as fully melted.
             return np.where(h >= self._h_sol, 1.0, 0.0)
-        return np.clip((h - self._h_sol) / self._latent, 0.0, 1.0)
+        return clip((h - self._h_sol) / self._latent, 0.0, 1.0)
 
     # -- read-only state ------------------------------------------------
 
@@ -189,36 +197,89 @@ class PCMBank:
 
     # -- dynamics --------------------------------------------------------
 
-    def step(self, t_air_c: ArrayLike, ha_w_per_k: float,
-             dt_s: float) -> np.ndarray:
-        """Advance the wax by ``dt_s`` seconds against air at ``t_air_c``.
+    def advance(self, t_air_c: np.ndarray, ha_w_per_k: float,
+                dt_s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance the wax through a ``(T, n)`` block of air temperatures.
 
-        Returns the per-server heat absorbed by the wax over the step in
-        watts (negative while the wax releases heat back to the air).
-        The integrator subdivides the step when the sensible time constant
+        Row ``t`` of ``t_air_c`` is the air at the wax during tick ``t``.
+        Returns two ``(T, n)`` blocks: the heat absorbed by the wax over
+        each tick in watts (negative while the wax releases heat back to
+        the air), and the melt fraction after each tick.  The integrator
+        subdivides each tick when the sensible time constant
         ``m*cp / hA`` is short relative to ``dt_s`` so explicit updates
-        stay stable for any configuration.
+        stay stable for any configuration.  Only the enthalpy recurrence
+        steps tick by tick; heat and melt fraction are whole-block maps.
         """
         if dt_s <= 0:
             raise ThermalModelError("dt must be positive")
         if ha_w_per_k < 0:
             raise ThermalModelError("hA must be non-negative")
-        t_air = np.broadcast_to(
-            np.asarray(t_air_c, dtype=np.float64), (self._n,))
+        t_air = np.asarray(t_air_c, dtype=np.float64)
+        if t_air.ndim != 2:
+            raise ThermalModelError("advance takes a (T, n) air block")
+        if t_air.shape[1] != self._n:
+            t_air = np.broadcast_to(t_air, (t_air.shape[0], self._n))
+        steps = t_air.shape[0]
+        h_store = np.empty((steps + 1, self._n))  # row t: before tick t
+        h_store[0] = self._h
         if self._mass <= 0 or ha_w_per_k == 0:
-            return np.zeros(self._n)
+            h_store[1:] = self._h
+        else:
+            self._integrate(t_air, ha_w_per_k, dt_s, h_store)
+        self._h = h_store[steps].copy()
+        heat = (h_store[1:] - h_store[:-1]) * self._mass / dt_s
+        return heat, self.melt_fraction_of_enthalpy(h_store[1:])
 
+    def _integrate(self, t_air: np.ndarray, ha: float, dt_s: float,
+                   h_store: np.ndarray) -> None:
+        """Fill ``h_store[1:]`` with the enthalpy after each tick.
+
+        Per element and sub-step this is ``h += ha * (T_air - T_wax(h))
+        * sub_dt / m`` in exactly that operation order, so any block
+        length gives the same bits as one-tick steps.
+        """
         cp_min = min(self._cp_s, self._cp_l)
-        tau = self._mass * cp_min / ha_w_per_k
+        tau = self._mass * cp_min / ha
         n_sub = max(1, int(math.ceil(dt_s / (0.25 * tau))))
         sub_dt = dt_s / n_sub
+        n = self._n
+        t_wax = np.empty(n)
+        solid = np.empty(n)
+        below = np.empty(n, dtype=bool)
+        q = np.empty(n)
+        h_sub = np.empty(n)
+        h = h_store[0]
+        for t, air in enumerate(t_air):
+            for sub in range(n_sub):
+                dest = h_store[t + 1] if sub == n_sub - 1 else h_sub
+                if not h.max() <= self._h_liq:
+                    # Rare: something fully molten (or NaN) -- the full
+                    # curve.
+                    wax = self.temperature_of_enthalpy(h)
+                else:
+                    # Nothing above the liquidus, so the curve's liquid
+                    # branch is unused: the same bits, fewer temporaries.
+                    np.less(h, self._h_sol, out=below)
+                    np.divide(h, self._cp_s, out=solid)
+                    t_wax.fill(self._t_melt)
+                    np.copyto(t_wax, solid, where=below)
+                    wax = t_wax
+                np.subtract(air, wax, out=q)
+                np.multiply(q, ha, out=q)  # W into the wax
+                np.multiply(q, sub_dt, out=q)
+                np.divide(q, self._mass, out=q)
+                np.add(h, q, out=dest)
+                h = dest
 
-        h_before = self._h.copy()
-        for __ in range(n_sub):
-            t_wax = self.temperature_of_enthalpy(self._h)
-            q = ha_w_per_k * (t_air - t_wax)  # W into the wax
-            self._h += q * sub_dt / self._mass
-        return (self._h - h_before) * self._mass / dt_s
+    def step(self, t_air_c: ArrayLike, ha_w_per_k: float,
+             dt_s: float) -> np.ndarray:
+        """Advance the wax by ``dt_s`` seconds against air at ``t_air_c``.
+
+        One tick of :meth:`advance`; returns the per-server heat absorbed
+        by the wax over the step in watts.
+        """
+        t_air = np.asarray(t_air_c, dtype=np.float64).reshape(1, -1)
+        return self.advance(t_air, ha_w_per_k, dt_s)[0][0]
 
     def set_melt_fraction(self, fraction: ArrayLike) -> None:
         """Force the melt fraction (temperature pinned at the melt point).

@@ -82,19 +82,44 @@ class ServerAirModel:
         return self._temp
 
     def steady_state(self, power_w: ArrayLike) -> np.ndarray:
-        """Steady-state air temperature for a given IT power draw."""
-        power = np.broadcast_to(np.asarray(power_w, dtype=np.float64),
-                                (self._n,))
-        return self._inlet + self._cfg.r_air_c_per_w * power
+        """Steady-state air temperature for a given IT power draw.
 
-    def step(self, power_w: ArrayLike, dt_s: float) -> np.ndarray:
-        """Advance the air node by ``dt_s`` seconds and return temperatures."""
+        ``power_w`` is a scalar, one value per server, or a ``(T, n)``
+        block of ticks; the result has the matching shape.
+        """
+        return self._inlet + self._cfg.r_air_c_per_w * np.asarray(
+            power_w, dtype=np.float64)
+
+    def advance(self, power_w: np.ndarray, dt_s: float) -> np.ndarray:
+        """Advance the air node through a ``(T, n)`` block of ticks.
+
+        Row ``t`` of ``power_w`` is the IT power during tick ``t``; the
+        returned ``(T, n)`` block holds the air temperatures after each
+        tick.  The steady-state targets are computed for the whole block
+        at once; only the first-order lag steps tick by tick.
+        """
         if dt_s <= 0:
             raise ThermalModelError("dt must be positive")
-        target = self.steady_state(power_w)
+        temps = self.steady_state(power_w)  # targets, relaxed in place
+        if temps.ndim != 2:
+            raise ThermalModelError("advance takes a (T, n) power block")
         alpha = 1.0 - math.exp(-dt_s / self._cfg.tau_air_s)
-        self._temp = self._temp + (target - self._temp) * alpha
-        return self._temp
+        temp = self._temp
+        for row in temps:
+            np.subtract(row, temp, out=row)
+            np.multiply(row, alpha, out=row)
+            np.add(temp, row, out=row)
+            temp = row
+        self._temp = temp.copy()
+        return temps
+
+    def step(self, power_w: ArrayLike, dt_s: float) -> np.ndarray:
+        """Advance the air node by ``dt_s`` seconds and return temperatures.
+
+        One tick of :meth:`advance`.
+        """
+        power = np.asarray(power_w, dtype=np.float64).reshape(1, -1)
+        return self.advance(power, dt_s)[0]
 
     def reset(self, power_w: ArrayLike = 0.0) -> None:
         """Snap the air node to the steady state for ``power_w``."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..config import ThermalConfig, WaxConfig
 from ..errors import ThermalModelError
+from .pcm import clip
 
 
 class WaxStateEstimator:
@@ -79,30 +80,62 @@ class WaxStateEstimator:
         registry.gauge("estimator.max_estimate",
                        lambda: float(self._estimate.max()))
 
-    def _sense(self, t_air_c: np.ndarray) -> np.ndarray:
-        """Apply container-exterior sensor noise to the air temperature."""
-        if self._sensor_noise == 0.0:
-            return t_air_c
-        return t_air_c + self._rng.normal(0.0, self._sensor_noise,
-                                          size=self._n)
+    def advance(self, t_air_c: np.ndarray, dt_s: float,
+                truth: Optional[np.ndarray] = None,
+                anchored: Optional[np.ndarray] = None) -> np.ndarray:
+        """Advance the estimate through a ``(T, n)`` block of readings.
+
+        Row ``t`` of ``t_air_c`` is what the container-exterior sensor
+        sees during tick ``t``.  Each tick adds sensor noise, looks the
+        reading up in the rate table, integrates the rate over ``dt_s``
+        and clips to [0, 1]; where ``anchored[t]`` is set, the estimate
+        then re-anchors to ``truth[t]`` (see :meth:`correct`).  The noise
+        is one ``(T, n)`` draw -- the same values, and the same generator
+        state afterwards, as ``T`` draws of ``n`` -- and the lookup is
+        batched; only the clipped integration steps tick by tick.
+
+        Returns the ``(T, n)`` block of estimates after each tick.
+        """
+        if dt_s <= 0:
+            raise ThermalModelError("dt must be positive")
+        sensed = np.asarray(t_air_c, dtype=np.float64)
+        if sensed.ndim != 2:
+            raise ThermalModelError("advance takes a (T, n) reading block")
+        if sensed.shape[1] != self._n:
+            sensed = np.broadcast_to(sensed, (sensed.shape[0], self._n))
+        if self._sensor_noise != 0.0:
+            sensed = sensed + self._rng.normal(0.0, self._sensor_noise,
+                                               size=sensed.shape)
+        bins = np.clip(
+            np.digitize(sensed - self._t_melt, self._bin_edges) - 1,
+            0, len(self._rate_table) - 1)
+        estimates = self._rate_table[bins]  # rates, integrated in place
+        estimates *= dt_s
+        if anchored is None:
+            anchor_rows = [False] * len(estimates)
+        else:
+            truth = np.broadcast_to(clip(np.asarray(
+                truth, dtype=np.float64), 0.0, 1.0), estimates.shape)
+            anchored = np.broadcast_to(anchored, estimates.shape)
+            anchor_rows = anchored.any(axis=1).tolist()
+        estimate = self._estimate
+        for t, row in enumerate(estimates):
+            np.add(estimate, row, out=row)
+            clip(row, 0.0, 1.0, row)
+            if anchor_rows[t]:
+                np.copyto(row, truth[t], where=anchored[t])
+            estimate = row
+        self._estimate = estimate.copy()
+        return estimates
 
     def update(self, t_air_c: np.ndarray, dt_s: float) -> np.ndarray:
         """Advance the estimate by ``dt_s`` using a sensed air temperature.
 
-        Returns the updated per-server melt fraction estimates.
+        One tick of :meth:`advance`; returns the updated per-server melt
+        fraction estimates.
         """
-        if dt_s <= 0:
-            raise ThermalModelError("dt must be positive")
-        t_air = np.broadcast_to(np.asarray(t_air_c, dtype=np.float64),
-                                (self._n,))
-        sensed = self._sense(t_air)
-        delta = sensed - self._t_melt
-        bins = np.clip(
-            np.digitize(delta, self._bin_edges) - 1,
-            0, len(self._rate_table) - 1)
-        rates = self._rate_table[bins]
-        self._estimate = np.clip(self._estimate + rates * dt_s, 0.0, 1.0)
-        return self._estimate
+        t_air = np.asarray(t_air_c, dtype=np.float64).reshape(1, -1)
+        return self.advance(t_air, dt_s)[0]
 
     def correct(self, true_fraction: np.ndarray,
                 mask: Optional[np.ndarray] = None) -> None:
@@ -111,15 +144,14 @@ class WaxStateEstimator:
         The container-exterior sensor unambiguously signals the *end* of a
         transition (temperature leaves the melt plateau), which deployed
         estimators use to resynchronize at 0% and 100%.  Tests and the
-        simulator call this at phase boundaries.
+        simulator call this at phase boundaries.  The same masked copy
+        :meth:`advance` applies per tick, without advancing time.
         """
-        truth = np.broadcast_to(
-            np.asarray(true_fraction, dtype=np.float64), (self._n,))
-        if mask is None:
-            self._estimate = np.clip(truth, 0.0, 1.0).copy()
-        else:
-            self._estimate = np.where(mask, np.clip(truth, 0.0, 1.0),
-                                      self._estimate)
+        truth = clip(np.asarray(true_fraction, dtype=np.float64), 0.0, 1.0)
+        estimate = self._estimate.copy()
+        np.copyto(estimate, truth,
+                  where=True if mask is None else np.asarray(mask, bool))
+        self._estimate = estimate
 
     def error_vs(self, true_fraction: np.ndarray) -> float:
         """Mean absolute estimation error against ground truth."""

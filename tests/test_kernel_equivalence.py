@@ -16,6 +16,7 @@ no speedup.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.config import (CoolingFaultSpec, FaultConfig, SensorFaultSpec,
                           ServerFaultSpec, TraceConfig,
                           paper_cluster_config)
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
-from repro.kernel import is_numba_available, resolve_backend
+from repro.kernel import resolve_backend
 from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
 from repro.state.checkpoint import (latest_checkpoint, restore_simulation,
@@ -122,6 +123,43 @@ class TestBitIdentity:
         assert_state_trees_equal(ref_snap.state, fast_snap.state)
 
 
+class TestPlannedKernelBranches:
+    """VMT-TA runs that reach the wax model's rarer branches."""
+
+    @staticmethod
+    def branch_config(**thermal):
+        config = small_config().replace(
+            trace=TraceConfig(duration_hours=12.0))
+        return dataclasses.replace(
+            config, thermal=dataclasses.replace(config.thermal, **thermal))
+
+    def assert_planned_matches_reference(self, config):
+        ref, _ = run_backend(config, "vmt-ta", "reference")
+        fast, sim = run_backend(config, "vmt-ta", "fast")
+        assert sim.kernel_path == "planned"
+        assert ref.fingerprint() == fast.fingerprint()
+        return sim
+
+    @pytest.mark.parametrize("wax_kg, n_sub", ((0.3, 6), (0.01, 160)))
+    def test_substepped_wax(self, wax_kg, n_sub):
+        config = self.branch_config()
+        config = dataclasses.replace(config, wax=dataclasses.replace(
+            config.wax, volume_liters=wax_kg / 0.88))
+        tau_s = (config.wax.mass_kg
+                 * config.wax.specific_heat_solid_j_per_kg_k
+                 / config.thermal.ha_w_per_k)
+        assert math.ceil(60.0 / (0.25 * tau_s)) == n_sub
+        self.assert_planned_matches_reference(config)
+
+    def test_fully_molten_wax(self):
+        sim = self.assert_planned_matches_reference(
+            self.branch_config(inlet_temp_c=35.0))
+        wax = sim.cluster.config.wax
+        h_liquidus = (wax.specific_heat_solid_j_per_kg_k * wax.melt_temp_c
+                      + wax.latent_heat_j_per_kg)
+        assert sim.cluster.wax_enthalpy_j.max() > h_liquidus * wax.mass_kg
+
+
 class TestDispatch:
     def test_clean_vmt_ta_takes_the_planned_kernel(self):
         _, sim = run_backend(small_config(), "vmt-ta", "fast")
@@ -205,15 +243,3 @@ class TestParallelModes:
         for policy in serial.reductions:
             assert (serial.reductions[policy] ==
                     threaded.reductions[policy]).all()
-
-
-@pytest.mark.skipif(not is_numba_available(),
-                    reason="numba not installed; the python spelling of "
-                           "the fused physics loop is already covered")
-class TestNumbaKernel:
-    def test_njit_physics_matches_reference(self):
-        config = small_config()
-        ref, _ = run_backend(config, "vmt-ta", "reference")
-        fast, sim = run_backend(config, "vmt-ta", "fast")
-        assert sim.kernel_path == "planned"
-        assert ref.fingerprint() == fast.fingerprint()
